@@ -1,8 +1,10 @@
 //! Seeker implementations (paper Section VI): SQL generation over
 //! `AllTables` plus the application-level phases of MC and C.
 
+use std::borrow::Cow;
+
 use blend_common::{stats::mean, text, FxHashMap, FxHashSet, Result, TableId};
-use blend_index::Xash;
+use blend_index::xash_value;
 use blend_parallel::Interrupt;
 use blend_sql::{ExecPath, ResultSet, SqlValue};
 
@@ -266,6 +268,9 @@ fn dedup_table_scores(rs: &ResultSet, k: usize) -> Vec<TableHit> {
     let mut seen: FxHashSet<u32> = FxHashSet::default();
     let mut out = Vec::new();
     for row in &rs.rows {
+        if out.len() >= k {
+            break;
+        }
         let (Some(table), Some(score)) = (row[t].as_i64(), row[s].as_f64()) else {
             continue;
         };
@@ -274,9 +279,6 @@ fn dedup_table_scores(rs: &ResultSet, k: usize) -> Vec<TableHit> {
                 table: TableId(table as u32),
                 score,
             });
-            if out.len() >= k {
-                break;
-            }
         }
     }
     out
@@ -289,12 +291,22 @@ fn dedup_table_scores(rs: &ResultSet, k: usize) -> Vec<TableHit> {
 /// (alignment). TP/FP are counted per candidate row (Table V).
 fn mc_postprocess(rs: &ResultSet, rows: &[Vec<String>], k: usize) -> (Vec<TableHit>, McStats) {
     let arity = rows.first().map_or(0, Vec::len);
-    // Normalized query rows for the super-key filter and exact validation.
+    // Normalized query rows for exact validation, and one XASH mask per
+    // row for the super-key filter: `mask & !sk == 0` (every bit of the
+    // row's values set in the super key) holds exactly when
+    // `Xash::may_contain_all(sk, row)` does.
     let query_rows: Vec<Vec<String>> = rows
         .iter()
         .map(|r| r.iter().map(|v| text::normalize(v)).collect())
         .collect();
-    let query_row_set: FxHashSet<&[String]> = query_rows.iter().map(Vec::as_slice).collect();
+    let masks: Vec<u128> = query_rows
+        .iter()
+        .map(|qr| qr.iter().fold(0, |m, v| m | xash_value(v)))
+        .collect();
+    let query_row_set: FxHashSet<Vec<Cow<str>>> = query_rows
+        .iter()
+        .map(|qr| qr.iter().map(|v| Cow::Borrowed(v.as_str())).collect())
+        .collect();
 
     let tid = rs.col("tid");
     let rid = rs.col("rid");
@@ -310,77 +322,63 @@ fn mc_postprocess(rs: &ResultSet, rows: &[Vec<String>], k: usize) -> (Vec<TableH
         return (Vec::new(), McStats::default());
     };
 
-    // Gather per candidate row: its super key and the matched combinations.
+    // Per candidate row: whether the super key of its first tuple passes
+    // the filter, and whether some tuple of it validated.
     struct Candidate {
-        superkey: u128,
-        combos: Vec<Vec<String>>,
+        passes: bool,
+        validated: bool,
     }
     let mut candidates: FxHashMap<(u32, u32), Candidate> = FxHashMap::default();
+    let mut joinable: FxHashMap<u32, usize> = FxHashMap::default();
+    let mut cids: Vec<i64> = Vec::with_capacity(arity);
+    let mut combo: Vec<Cow<str>> = Vec::with_capacity(arity);
     'tuples: for row in &rs.rows {
         let (Some(t), Some(r)) = (row[tid].as_i64(), row[rid].as_i64()) else {
             continue;
         };
         // Alignment needs the values to come from distinct columns.
-        let mut cset = FxHashSet::default();
+        cids.clear();
         for &c in &ccols {
             let Some(cid) = row[c].as_i64() else {
                 continue 'tuples;
             };
-            if !cset.insert(cid) {
+            if cids.contains(&cid) {
                 continue 'tuples;
             }
+            cids.push(cid);
         }
-        let values: Vec<String> = vcols
-            .iter()
-            .map(|&c| match &row[c] {
-                SqlValue::Text(s) => s.to_string(),
-                other => other.to_string(),
-            })
-            .collect();
-        let superkey = match row[sk] {
-            SqlValue::U128(v) => v,
-            _ => continue,
+        let SqlValue::U128(superkey) = row[sk] else {
+            continue;
         };
-        candidates
-            .entry((t as u32, r as u32))
-            .or_insert_with(|| Candidate {
-                superkey,
-                combos: Vec::new(),
-            })
-            .combos
-            .push(values);
-    }
-
-    let mut stats = McStats::default();
-    let mut joinable: FxHashMap<u32, FxHashSet<u32>> = FxHashMap::default();
-    for ((t, r), cand) in candidates {
-        // Super-key bloom filter: some full query row may be present.
-        let passes = query_rows
-            .iter()
-            .any(|qr| Xash::may_contain_all(cand.superkey, qr.iter().map(String::as_str)));
-        if !passes {
+        let (t, r) = (t as u32, r as u32);
+        let cand = candidates.entry((t, r)).or_insert_with(|| Candidate {
+            passes: masks.iter().any(|&m| m & !superkey == 0),
+            validated: false,
+        });
+        if !cand.passes || cand.validated {
             continue;
         }
-        stats.candidates += 1;
-        // Exact match validation on the aligned combinations.
-        if cand
-            .combos
-            .iter()
-            .any(|combo| query_row_set.contains(combo.as_slice()))
-        {
-            stats.validated += 1;
-            joinable.entry(t).or_default().insert(r);
+        // Exact match validation on the aligned combination.
+        combo.clear();
+        combo.extend(vcols.iter().map(|&c| cell_text(&row[c])));
+        if query_row_set.contains(combo.as_slice()) {
+            cand.validated = true;
+            *joinable.entry(t).or_default() += 1;
         }
     }
 
+    let stats = McStats {
+        candidates: candidates.values().filter(|c| c.passes).count(),
+        validated: candidates.values().filter(|c| c.validated).count(),
+    };
     let mut topk = blend_common::topk::TopK::new(k);
-    for (t, rows) in joinable {
+    for (t, n) in joinable {
         topk.push(
-            rows.len() as f64,
+            n as f64,
             t as u64,
             TableHit {
                 table: TableId(t),
-                score: rows.len() as f64,
+                score: n as f64,
             },
         );
     }
@@ -388,6 +386,15 @@ fn mc_postprocess(rs: &ResultSet, rows: &[Vec<String>], k: usize) -> (Vec<TableH
         topk.into_sorted().into_iter().map(|(_, h)| h).collect(),
         stats,
     )
+}
+
+/// A matched MC value as validation text: text borrows from the result
+/// set, any other value (e.g. NULL) takes its display form.
+fn cell_text(v: &SqlValue) -> Cow<'_, str> {
+    match v {
+        SqlValue::Text(s) => Cow::Borrowed(s),
+        other => Cow::Owned(other.to_string()),
+    }
 }
 
 /// C application phase: drop under-supported triplets, keep the best
@@ -428,6 +435,210 @@ fn c_postprocess(rs: &ResultSet, k: usize, min_matches: usize) -> Vec<TableHit> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blend_index::Xash;
+    use blend_lake::web::{generate, WebLakeConfig};
+    use blend_lake::workloads;
+    use blend_storage::EngineKind;
+    use proptest::collection;
+    use proptest::prelude::*;
+
+    use crate::Plan;
+
+    fn wdc_lake() -> blend_lake::DataLake {
+        let mut cfg = WebLakeConfig::wdc_like(0.05);
+        cfg.seed = 61;
+        generate(&cfg)
+    }
+
+    /// Oracle for [`mc_postprocess`]: gather every candidate row's matched
+    /// combinations as owned strings, then filter with the per-value
+    /// subset test and validate per candidate.
+    fn reference_mc_postprocess(
+        rs: &ResultSet,
+        rows: &[Vec<String>],
+        k: usize,
+    ) -> (Vec<TableHit>, McStats) {
+        let arity = rows.first().map_or(0, Vec::len);
+        let query_rows: Vec<Vec<String>> = rows
+            .iter()
+            .map(|r| r.iter().map(|v| text::normalize(v)).collect())
+            .collect();
+        let query_row_set: FxHashSet<&[String]> = query_rows.iter().map(Vec::as_slice).collect();
+        let col = |name: &str| rs.col(name).unwrap();
+        let (tid, rid, sk) = (col("tid"), col("rid"), col("sk"));
+        let vcols: Vec<usize> = (0..arity).map(|c| col(&format!("v{c}"))).collect();
+        let ccols: Vec<usize> = (0..arity).map(|c| col(&format!("c{c}"))).collect();
+        type Combos = Vec<Vec<String>>;
+        let mut candidates: FxHashMap<(u32, u32), (u128, Combos)> = FxHashMap::default();
+        'tuples: for row in &rs.rows {
+            let (Some(t), Some(r)) = (row[tid].as_i64(), row[rid].as_i64()) else {
+                continue;
+            };
+            let mut cset = FxHashSet::default();
+            for &c in &ccols {
+                match row[c].as_i64() {
+                    Some(cid) if cset.insert(cid) => {}
+                    _ => continue 'tuples,
+                }
+            }
+            let values: Vec<String> = vcols.iter().map(|&c| row[c].to_string()).collect();
+            let SqlValue::U128(superkey) = row[sk] else {
+                continue;
+            };
+            candidates
+                .entry((t as u32, r as u32))
+                .or_insert_with(|| (superkey, Vec::new()))
+                .1
+                .push(values);
+        }
+        let mut stats = McStats::default();
+        let mut joinable: FxHashMap<u32, FxHashSet<u32>> = FxHashMap::default();
+        for ((t, r), (superkey, combos)) in candidates {
+            if !query_rows
+                .iter()
+                .any(|qr| Xash::may_contain_all(superkey, qr.iter().map(String::as_str)))
+            {
+                continue;
+            }
+            stats.candidates += 1;
+            if combos.iter().any(|c| query_row_set.contains(c.as_slice())) {
+                stats.validated += 1;
+                joinable.entry(t).or_default().insert(r);
+            }
+        }
+        let mut topk = blend_common::topk::TopK::new(k);
+        for (t, rows) in joinable {
+            let score = rows.len() as f64;
+            topk.push(
+                score,
+                t as u64,
+                TableHit {
+                    table: TableId(t),
+                    score,
+                },
+            );
+        }
+        (
+            topk.into_sorted().into_iter().map(|(_, h)| h).collect(),
+            stats,
+        )
+    }
+
+    #[test]
+    fn mc_postprocess_matches_reference_on_generated_lake() {
+        let lake = wdc_lake();
+        let blend = Blend::from_lake(&lake, EngineKind::Column);
+        let queries = workloads::mc_queries(&lake, 48, 2, 5, 7);
+        assert!(queries.len() >= 32, "lake yields MC queries");
+        let mut total = McStats::default();
+        for q in &queries {
+            let rs = blend.engine().execute(&mc_sql(&q.rows)).unwrap();
+            let got = mc_postprocess(&rs, &q.rows, 10);
+            assert_eq!(got, reference_mc_postprocess(&rs, &q.rows, 10), "{q:?}");
+            total.candidates += got.1.candidates;
+            total.validated += got.1.validated;
+        }
+        // The lake exercises both the filter and the validation.
+        assert!(
+            total.validated > 0 && total.candidates > total.validated,
+            "{total:?}"
+        );
+    }
+
+    #[test]
+    fn mc_non_text_values_validate_as_their_display_form() {
+        // One candidate row per value kind, all passing the super-key
+        // filter: an Int matches the query value "42"; NULL is compared as
+        // "NULL", which no normalized (lowercase) query value equals.
+        let rows = vec![
+            vec!["42".to_string(), "b".to_string()],
+            vec!["NULL".to_string(), "b".to_string()],
+        ];
+        let columns = ["tid", "rid", "sk", "v0", "c0", "v1", "c1"];
+        let tuple = |rid: i64, v0: SqlValue| {
+            vec![
+                SqlValue::Int(1),
+                SqlValue::Int(rid),
+                SqlValue::U128(u128::MAX),
+                v0,
+                SqlValue::Int(0),
+                SqlValue::from("b"),
+                SqlValue::Int(1),
+            ]
+        };
+        let rs = ResultSet {
+            columns: columns.iter().map(|c| c.to_string()).collect(),
+            rows: vec![tuple(0, SqlValue::Int(42)), tuple(1, SqlValue::Null)],
+        };
+        let (hits, stats) = mc_postprocess(&rs, &rows, 10);
+        assert_eq!(
+            stats,
+            McStats {
+                candidates: 2,
+                validated: 1
+            }
+        );
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].score, 1.0);
+        assert_eq!((hits, stats), reference_mc_postprocess(&rs, &rows, 10));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn xash_row_mask_equals_per_value_subset_test(
+            superkey in (any::<u64>(), any::<u64>()),
+            density in 0u8..4,
+            row in collection::vec(
+                proptest::string::string_regex("[a-e ]{0,6}").unwrap(),
+                0..4,
+            ),
+        ) {
+            // Dense super keys make passing rows common, sparse ones rare.
+            let (hi, lo) = superkey;
+            let mut sk = (hi as u128) << 64 | lo as u128;
+            for _ in 0..density {
+                sk |= sk << 1 | sk >> 3;
+            }
+            let mask = row.iter().fold(0, |m, v| m | xash_value(v));
+            prop_assert_eq!(
+                mask & !sk == 0,
+                Xash::may_contain_all(sk, row.iter().map(String::as_str))
+            );
+        }
+    }
+
+    #[test]
+    fn every_seeker_returns_nothing_at_k_zero() {
+        let lake = wdc_lake();
+        let blend = Blend::from_lake(&lake, EngineKind::Column);
+        let sc = workloads::sc_queries(&lake, &[10], 1, 3).pop().unwrap().1;
+        let kw = workloads::kw_queries(&lake, 1, 10, 3);
+        let mc = workloads::mc_queries(&lake, 1, 2, 5, 3);
+        let t = lake
+            .tables
+            .iter()
+            .find(|t| t.n_rows() >= 8 && t.n_cols() >= 2)
+            .unwrap();
+        let keys: Vec<String> = (0..t.n_rows()).map(|r| t.cell(r, 0).to_string()).collect();
+        let target: Vec<f64> = (0..t.n_rows()).map(|r| r as f64).collect();
+        let seekers = [
+            Seeker::sc(sc[0].clone()),
+            Seeker::kw(kw[0].clone()),
+            Seeker::mc(mc[0].rows.clone()),
+            Seeker::c(keys, target),
+        ];
+        for seeker in seekers {
+            let hits_at = |k: usize| {
+                let mut plan = Plan::new();
+                plan.add_seeker("s", seeker.clone(), k).unwrap();
+                blend.execute(&plan).unwrap()
+            };
+            assert!(!hits_at(10).is_empty(), "{seeker:?} finds tables at k=10");
+            assert_eq!(hits_at(0), Vec::new(), "{seeker:?} at k=0");
+        }
+    }
 
     #[test]
     fn sql_templates_contain_placeholder() {

@@ -5,6 +5,8 @@
 //! index workloads BLEND generates: access paths cut candidate sets down
 //! before anything is materialized.
 
+use std::cmp::Ordering;
+
 use blend_common::{FxHashMap, FxHashSet, Result};
 use blend_parallel::ParallelCtx;
 
@@ -293,60 +295,103 @@ fn execute_tuple(
     Ok(project_sort_limit(plan, &tuples, report))
 }
 
-/// Shared query tail: evaluate the projection and order keys over input
-/// tuples, sort, apply LIMIT, and label the result. Used by both executors
-/// for aggregated queries (the positional path projects non-aggregated
-/// queries straight from positions instead).
+/// Shared query tail: evaluate the order keys and the projection of every
+/// input tuple into flat buffers, then [`finish`]. Used by both executors
+/// for aggregated queries (the positional path fills the buffers straight
+/// from positions for non-aggregated ones).
 pub(crate) fn project_sort_limit(
     plan: &QueryPlan,
     tuples: &[Tuple],
     report: &mut QueryReport,
 ) -> ResultSet {
-    let mut decorated: Vec<(Vec<SqlValue>, Tuple)> = Vec::with_capacity(tuples.len());
+    let mut keys = Vec::with_capacity(tuples.len() * plan.order_by.len());
+    let mut outs = Vec::with_capacity(tuples.len() * plan.projection.len());
     for t in tuples {
-        let out: Tuple = plan.projection.iter().map(|(_, e)| e.eval(t)).collect();
-        let keys: Vec<SqlValue> = plan.order_by.iter().map(|(e, _)| e.eval(t)).collect();
-        decorated.push((keys, out));
+        keys.extend(plan.order_by.iter().map(|(e, _)| e.eval(t)));
+        outs.extend(plan.projection.iter().map(|(_, e)| e.eval(t)));
     }
-    finish_decorated(plan, decorated, report)
+    finish(plan, tuples.len(), &keys, outs, report)
 }
 
-/// Sort decorated rows by their order keys, truncate to LIMIT, and build
-/// the final [`ResultSet`].
-pub(crate) fn finish_decorated(
+/// Order and limit `n` evaluated rows ([`top_rows`]) and label the
+/// result.
+pub(crate) fn finish(
     plan: &QueryPlan,
-    mut decorated: Vec<(Vec<SqlValue>, Tuple)>,
+    n: usize,
+    keys: &[SqlValue],
+    outs: Vec<SqlValue>,
     report: &mut QueryReport,
 ) -> ResultSet {
-    if !plan.order_by.is_empty() {
-        decorated.sort_by(|a, b| {
-            for (i, (_, desc)) in plan.order_by.iter().enumerate() {
-                let ord = a.0[i].order_cmp(&b.0[i]);
-                let ord = if *desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            // Deterministic tiebreak on the projected tuple.
-            for (x, y) in a.1.iter().zip(&b.1) {
-                let ord = x.order_cmp(y);
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-    }
-    if let Some(k) = plan.limit {
-        decorated.truncate(k);
-    }
-
-    let rows: Vec<Tuple> = decorated.into_iter().map(|(_, t)| t).collect();
+    let rows = top_rows(&plan.order_by, plan.limit, n, keys, outs);
     report.result_rows = rows.len();
     ResultSet {
         columns: plan.output_labels(),
         rows,
     }
+}
+
+/// The first `limit` of `n` rows in ORDER BY order, as output tuples.
+///
+/// Row `i` holds its order keys (one per `order_by` entry) at
+/// `keys[i * order_by.len()..]` and its projected values at
+/// `outs[i * width..]`. Rows compare by their keys, each reversed where
+/// `order_by` says DESC, then by the projected tuple, then by input
+/// position: the order a stable sort on keys and tuple gives. When `limit`
+/// is below `n`, a selection pass moves the first `limit` rows to the
+/// front and only those are sorted and built.
+pub(crate) fn top_rows(
+    order_by: &[(CExpr, bool)],
+    limit: Option<usize>,
+    n: usize,
+    keys: &[SqlValue],
+    mut outs: Vec<SqlValue>,
+) -> Vec<Tuple> {
+    let nk = order_by.len();
+    let width = outs.len().checked_div(n).unwrap_or(0);
+    debug_assert_eq!(keys.len(), n * nk, "one key per ORDER BY entry and row");
+    debug_assert_eq!(outs.len(), n * width, "one value per column and row");
+    let k = limit.map_or(n, |k| k.min(n));
+    let picked: Vec<usize> = if order_by.is_empty() {
+        (0..k).collect()
+    } else {
+        let cmp = |&a: &usize, &b: &usize| {
+            let key_pairs = keys[a * nk..(a + 1) * nk]
+                .iter()
+                .zip(&keys[b * nk..(b + 1) * nk]);
+            for ((x, y), (_, desc)) in key_pairs.zip(order_by) {
+                let ord = x.order_cmp(y);
+                if ord != Ordering::Equal {
+                    return if *desc { ord.reverse() } else { ord };
+                }
+            }
+            let out_pairs = outs[a * width..(a + 1) * width]
+                .iter()
+                .zip(&outs[b * width..(b + 1) * width]);
+            for (x, y) in out_pairs {
+                let ord = x.order_cmp(y);
+                if ord != Ordering::Equal {
+                    return ord;
+                }
+            }
+            a.cmp(&b)
+        };
+        let mut idx: Vec<usize> = (0..n).collect();
+        if k < n {
+            idx.select_nth_unstable_by(k, cmp);
+            idx.truncate(k);
+        }
+        idx.sort_unstable_by(cmp);
+        idx
+    };
+    picked
+        .into_iter()
+        .map(|i| {
+            outs[i * width..(i + 1) * width]
+                .iter_mut()
+                .map(|v| std::mem::replace(v, SqlValue::Null))
+                .collect()
+        })
+        .collect()
 }
 
 fn exec_tree(
@@ -758,6 +803,94 @@ fn exec_group(group: &GroupPlan, tuples: Vec<Tuple>, par: &ParallelCtx) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
+
+    /// Oracle for [`top_rows`]: decorate every row with its keys,
+    /// stable-sort the whole input, truncate to LIMIT.
+    fn reference_rows(
+        order_by: &[(CExpr, bool)],
+        limit: Option<usize>,
+        mut decorated: Vec<(Vec<SqlValue>, Tuple)>,
+    ) -> Vec<Tuple> {
+        if !order_by.is_empty() {
+            decorated.sort_by(|a, b| {
+                for (i, (_, desc)) in order_by.iter().enumerate() {
+                    let ord = a.0[i].order_cmp(&b.0[i]);
+                    let ord = if *desc { ord.reverse() } else { ord };
+                    if ord != Ordering::Equal {
+                        return ord;
+                    }
+                }
+                for (x, y) in a.1.iter().zip(&b.1) {
+                    let ord = x.order_cmp(y);
+                    if ord != Ordering::Equal {
+                        return ord;
+                    }
+                }
+                Ordering::Equal
+            });
+        }
+        if let Some(k) = limit {
+            decorated.truncate(k);
+        }
+        decorated.into_iter().map(|(_, t)| t).collect()
+    }
+
+    /// A value from a tiny domain, so rows tie often: NULL, Int, Float
+    /// (including values equal to an Int, and -0.0), Bool, Text, U128.
+    fn tiny_value(kind: u8, x: i64) -> SqlValue {
+        match kind {
+            0 => SqlValue::Null,
+            1 => SqlValue::Int(x),
+            2 => SqlValue::Float(x as f64 / 2.0),
+            3 => SqlValue::Float(-0.0),
+            4 => SqlValue::Bool(x % 2 == 0),
+            5 => SqlValue::from(["a", "b", "ab", ""][x as usize % 4]),
+            _ => SqlValue::U128(x as u128),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn top_rows_matches_full_sort_and_truncate(
+            n in 0usize..40,
+            nk in 0usize..4,
+            width in 1usize..4,
+            desc_bits in 0u8..8,
+            limit_pick in 0usize..6,
+            cells in collection::vec((0u8..7, 0i64..4), 280),
+        ) {
+            let order_by: Vec<(CExpr, bool)> = (0..nk)
+                .map(|i| (CExpr::Col(i), desc_bits >> i & 1 == 1))
+                .collect();
+            let limit = match limit_pick {
+                0 => None,
+                1 => Some(0),
+                2 => Some(1),
+                3 => Some(n.saturating_sub(1)),
+                4 => Some(n),
+                _ => Some(n + 3),
+            };
+            let mut cell = cells.iter().map(|&(kind, x)| tiny_value(kind, x));
+            let mut keys = Vec::new();
+            let mut outs = Vec::new();
+            let mut decorated = Vec::new();
+            for _ in 0..n {
+                let k: Vec<SqlValue> = cell.by_ref().take(nk).collect();
+                let t: Tuple = cell.by_ref().take(width).collect();
+                keys.extend(k.iter().cloned());
+                outs.extend(t.iter().cloned());
+                decorated.push((k, t));
+            }
+            let got = top_rows(&order_by, limit, n, &keys, outs);
+            let want = reference_rows(&order_by, limit, decorated);
+            // Debug form: `==` would let Int(1) stand in for Float(1.0).
+            prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        }
+    }
 
     #[test]
     fn result_set_accessors() {

@@ -725,27 +725,30 @@ pub(crate) fn execute(
                 },
                 None => e.eval(&tables, 0, row),
             };
-            let mut decorated: Vec<(Vec<SqlValue>, Tuple)> = Vec::with_capacity(batch.len());
-            for i in 0..batch.len() {
+            let n = batch.len();
+            let mut keys = Vec::with_capacity(n * project.order.len());
+            let mut outs = Vec::with_capacity(n * project.exprs.len());
+            for i in 0..n {
                 if poll_every(i) {
                     par.check_interrupt()?;
                 }
                 let row = batch.row(i);
-                let out: Tuple = project
-                    .exprs
-                    .iter()
-                    .zip(&expr_pre)
-                    .map(|(e, pre)| materialize(pre, e, i, row))
-                    .collect();
-                let keys: Vec<SqlValue> = project
-                    .order
-                    .iter()
-                    .zip(&order_pre)
-                    .map(|(e, pre)| materialize(pre, e, i, row))
-                    .collect();
-                decorated.push((keys, out));
+                keys.extend(
+                    project
+                        .order
+                        .iter()
+                        .zip(&order_pre)
+                        .map(|(e, pre)| materialize(pre, e, i, row)),
+                );
+                outs.extend(
+                    project
+                        .exprs
+                        .iter()
+                        .zip(&expr_pre)
+                        .map(|(e, pre)| materialize(pre, e, i, row)),
+                );
             }
-            Ok(exec::finish_decorated(plan, decorated, report))
+            Ok(exec::finish(plan, n, &keys, outs, report))
         }
     }
 }
