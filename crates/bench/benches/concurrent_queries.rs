@@ -1,30 +1,23 @@
 //! `concurrent_queries` Criterion group: throughput of many in-flight
-//! SC-shape queries on one shared **persistent** worker pool vs. the
-//! per-query **scoped** spawning baseline (the pre-persistent design,
-//! retained as `WorkerPool::scoped`), on both storage engines.
+//! SC-shape queries on one shared persistent worker pool, on both storage
+//! engines, plus the serving-tier scenarios in front of it.
 //!
-//! The serving scenario: `IN_FLIGHT` OS threads each fire SC-shape
-//! queries back to back against one engine. Under the scoped baseline
-//! every parallel phase of every query spawns and joins its own worker
-//! threads, and concurrent queries oversubscribe the machine (N queries x
-//! `THREADS` workers). Under the persistent pool the same phases draw
-//! admission-controlled grants from `THREADS - 1` parked workers, so the
+//! The concurrent scenario: `IN_FLIGHT` OS threads each fire SC-shape
+//! queries back to back against one engine. Every parallel phase draws an
+//! admission-controlled grant from `THREADS - 1` parked workers, so the
 //! whole storm shares one thread budget.
 //!
-//! Every configuration is parity-checked first (shared-pool and scoped
-//! results must equal the sequential single-query run byte-for-byte).
-//! Measured numbers land in `BENCH_concurrent_queries.json` at the
-//! workspace root, the serving-tier scenario (bounded queue, mixed
-//! deadlines, overload shedding) lands in `BENCH_serving_storm.json`, and
-//! the closed-loop Zipf template storm comparing the serving tier with the
-//! result cache + coalescing on vs. off lands in `BENCH_query_cache.json`.
-//! Acceptance bars held here:
+//! The pool is parity-checked first (its results must equal the
+//! sequential single-query run byte-for-byte). Measured numbers land in
+//! `BENCH_concurrent_queries.json`, the serving-tier scenario (bounded
+//! queue, mixed deadlines, overload shedding) in
+//! `BENCH_serving_storm.json`, and the closed-loop Zipf template storm
+//! comparing the serving tier with the result cache + coalescing on vs.
+//! off in `BENCH_query_cache.json` — at the workspace root on a full run,
+//! under `target/` in smoke mode. Acceptance bars held here:
 //!
-//! * shared persistent pool >= 1.3x scoped-baseline throughput at
-//!   `IN_FLIGHT` concurrent queries on the column store;
-//! * single-query latency on the persistent pool shows no regression vs.
-//!   the scoped baseline, and stays within a catastrophic-only band of
-//!   the flat join/group times recorded in `BENCH_join_group.json`;
+//! * single-query latency stays within a catastrophic-only band of the
+//!   flat join/group times recorded in `BENCH_join_group.json`;
 //! * at Zipf skew s=1.0 over the template pool, cache-on throughput is at
 //!   least 2x cache-off, while a cold miss (first sighting of a template)
 //!   costs within 5% of the no-cache serving path.
@@ -40,10 +33,10 @@ use std::time::{Duration, Instant};
 use criterion::Criterion;
 use rand::SeedableRng;
 
-use blend_bench::synthetic_rows;
+use blend_bench::{synthetic_rows, write_bench_json};
 use blend_common::zipf::Zipf;
 use blend_common::BlendError;
-use blend_parallel::{Admission, Deadline, ParallelCtx, WorkerPool};
+use blend_parallel::{Deadline, ParallelCtx};
 use blend_serve::{ServeConfig, ServeQueue};
 use blend_sql::{ExecPath, ResultSet, SqlEngine};
 use blend_storage::{build_engine, EngineKind};
@@ -55,8 +48,7 @@ const IN_FLIGHT: usize = 8;
 /// Queries each serving thread fires per storm.
 const QUERIES_PER_THREAD: usize = 4;
 /// Parallel thresholds: small enough that every SC phase rides the pool
-/// at this data size, identical for both contexts (the comparison is
-/// pool backing, not tuning).
+/// at this data size.
 const MIN_PARALLEL: usize = 512;
 const MORSEL_LEN: usize = 2048;
 
@@ -82,20 +74,6 @@ fn shared_ctx() -> Arc<ParallelCtx> {
         MIN_PARALLEL,
         MORSEL_LEN,
         THREADS - 1,
-    ))
-}
-
-/// Scoped-baseline context: identical tuning, but every `run` spawns and
-/// joins its own threads and there is no machine-wide rationing — the
-/// pre-persistent design this bench measures against, where N in-flight
-/// queries oversubscribe to N x `THREADS` workers. The budget is sized so
-/// no query is ever denied (the old design had no admission control).
-fn scoped_ctx() -> Arc<ParallelCtx> {
-    Arc::new(ParallelCtx::with_pool(
-        WorkerPool::scoped(THREADS),
-        MIN_PARALLEL,
-        MORSEL_LEN,
-        Admission::new(IN_FLIGHT * THREADS),
     ))
 }
 
@@ -435,16 +413,8 @@ fn cold_miss_ns(engine: Arc<SqlEngine>, sqls: &[String]) -> (u64, u64) {
 
 struct CaseResult {
     engine: &'static str,
-    scoped_qps: f64,
     shared_qps: f64,
-    scoped_single_ns: u64,
     shared_single_ns: u64,
-}
-
-impl CaseResult {
-    fn speedup(&self) -> f64 {
-        self.shared_qps / self.scoped_qps.max(f64::MIN_POSITIVE)
-    }
 }
 
 fn main() {
@@ -472,73 +442,51 @@ fn main() {
         let sequential = SqlEngine::with_alltables(fact.clone())
             .with_parallel(Arc::new(ParallelCtx::sequential()));
         let shared = SqlEngine::with_alltables(fact.clone()).with_parallel(shared_ctx());
-        let scoped = SqlEngine::with_alltables(fact.clone()).with_parallel(scoped_ctx());
 
-        // Parity before timing: both pool backings must reproduce the
+        // Parity before timing: the shared pool must reproduce the
         // sequential single-query result byte-for-byte.
         let (want, want_rep) = sequential
             .execute_with_report_path(&sql, ExecPath::Auto)
             .expect("SC query runs");
         assert_eq!(want_rep.path, "positional");
-        for (mode, engine) in [("shared", &shared), ("scoped", &scoped)] {
-            let (got, rep) = engine
-                .execute_with_report_path(&sql, ExecPath::Auto)
-                .expect("SC query runs");
-            assert_eq!(
-                got, want,
-                "{label}/{mode}: pooled result diverged from sequential"
-            );
-            assert!(
-                !rep.parallel.is_empty(),
-                "{label}/{mode}: phases must actually ride the pool at this size"
-            );
-            // EXPLAIN ANALYZE: the span-tree profile of the SC shape,
-            // printed once per engine (shared pool) as the human-readable
-            // per-phase timing breakdown.
-            if mode == "shared" {
-                let profile = rep.profile.as_ref().expect("profile collected");
-                println!("  {label} SC query profile:");
-                for line in profile.render().lines() {
-                    println!("    {line}");
-                }
-            }
+        let (got, rep) = shared
+            .execute_with_report_path(&sql, ExecPath::Auto)
+            .expect("SC query runs");
+        assert_eq!(got, want, "{label}: pooled result diverged from sequential");
+        assert!(
+            !rep.parallel.is_empty(),
+            "{label}: phases must actually ride the pool at this size"
+        );
+        // EXPLAIN ANALYZE: the span-tree profile of the SC shape, printed
+        // once per engine as the human-readable per-phase timing breakdown.
+        let profile = rep.profile.as_ref().expect("profile collected");
+        println!("  {label} SC query profile:");
+        for line in profile.render().lines() {
+            println!("    {line}");
         }
 
         // Warm, then measure storms (median over iters).
         let _ = storm_qps(&shared, &sql);
-        let _ = storm_qps(&scoped, &sql);
         let shared_qps = median_f64(iters, || storm_qps(&shared, &sql));
-        let scoped_qps = median_f64(iters, || storm_qps(&scoped, &sql));
 
         if !smoke {
             group.bench_function(format!("{label}_storm_shared_pool"), |b| {
                 b.iter(|| storm_qps(&shared, &sql))
             });
-            group.bench_function(format!("{label}_storm_scoped_baseline"), |b| {
-                b.iter(|| storm_qps(&scoped, &sql))
-            });
         }
 
-        // Single-query latency: the persistent pool must cost nothing
-        // when the machine is otherwise idle.
+        // Single-query latency on an otherwise idle machine.
         let single_iters = if smoke { 9 } else { 31 };
         let shared_single_ns = single_query_ns(single_iters, &shared, &sql);
-        let scoped_single_ns = single_query_ns(single_iters, &scoped, &sql);
 
         let r = CaseResult {
             engine: kind.label(),
-            scoped_qps,
             shared_qps,
-            scoped_single_ns,
             shared_single_ns,
         };
         println!(
-            "  -> {label}: storm {:.0} q/s scoped, {:.0} q/s shared ({:.2}x); \
-             single query {:.3}ms scoped, {:.3}ms shared",
-            r.scoped_qps,
+            "  -> {label}: storm {:.0} q/s; single query {:.3}ms",
             r.shared_qps,
-            r.speedup(),
-            r.scoped_single_ns as f64 / 1e6,
             r.shared_single_ns as f64 / 1e6,
         );
         results.push(r);
@@ -625,7 +573,7 @@ fn main() {
         cold_ratio,
     );
 
-    // Bar 3: memoization pays at Zipf skew — >= 2x completed-request
+    // Cache bar: memoization pays at Zipf skew — >= 2x completed-request
     // throughput with the cache on at s=1.0. Smoke mode only rejects an
     // outright loss (shared CI runners), full runs hold the real bar.
     let cache_bar = if smoke { 1.2 } else { 2.0 };
@@ -636,9 +584,9 @@ fn main() {
         cache_off.qps,
         cache_on.qps
     );
-    // Bar 4: the cold path must stay cheap — fingerprint + probe + insert
-    // within 5% of the no-cache serving path (median over the probe set;
-    // widened in smoke mode where one scheduler hiccup on a ~ms query
+    // Cold-miss bar: the cold path must stay cheap — fingerprint + probe +
+    // insert within 5% of the no-cache serving path (median over the probe
+    // set; widened in smoke mode where one scheduler hiccup on a ~ms query
     // swamps a single-digit-percent bar).
     let cold_bar = if smoke { 1.5 } else { 1.05 };
     assert!(
@@ -648,7 +596,7 @@ fn main() {
         cold_off_ns as f64 / 1e6
     );
 
-    // Machine-readable cache trajectory at the workspace root.
+    // Machine-readable cache trajectory.
     let mut json = String::from("{\n  \"bench\": \"query_cache\",\n");
     let _ = writeln!(json, "  \"rows\": {n_rows},");
     let _ = writeln!(json, "  \"clients\": {CACHE_CLIENTS},");
@@ -671,48 +619,14 @@ fn main() {
          \"ratio\": {cold_ratio:.4}}}"
     );
     json.push_str("}\n");
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_query_cache.json");
-    std::fs::write(&out, json).expect("write BENCH_query_cache.json");
+    let out = write_bench_json("query_cache", smoke, &json);
     println!("  wrote {}", out.display());
 
-    // Bar 1: the persistent shared pool beats per-query scoped spawning
-    // on concurrent throughput (column store) — >= 1.3x on a full run
-    // (~1.8x measured; recorded in the JSON below). Smoke mode measures
-    // storms with median-of-3 on whatever loaded CI runner it lands on,
-    // where scheduler noise can eat most of the margin — there the bar
-    // only rejects an outright loss (< 1.05x), while the parity checks
-    // above run at full strength either way.
-    let col = results
-        .iter()
-        .find(|r| r.engine == "Column")
-        .expect("column case ran");
-    let bar = if smoke { 1.05 } else { 1.3 };
-    assert!(
-        col.speedup() >= bar,
-        "column-store concurrent throughput speedup {:.2}x < {bar}x \
-         (scoped {:.0} q/s, shared {:.0} q/s)",
-        col.speedup(),
-        col.scoped_qps,
-        col.shared_qps
-    );
-
-    // Bar 2: no single-query latency regression from going persistent —
-    // in-process against the scoped baseline (25% noise allowance, 50%
-    // in smoke mode on shared runners)...
-    let latency_slack = if smoke { 1.5 } else { 1.25 };
+    // Latency band: a catastrophic-only guard against the recorded
+    // `BENCH_join_group.json` trajectory — the whole SC query (scan +
+    // group + sort) at `n_rows` must stay within a generous band of the
+    // recorded 150k-row flat group-phase time, scaled by rows.
     for r in &results {
-        assert!(
-            (r.shared_single_ns as f64) <= latency_slack * r.scoped_single_ns as f64,
-            "{}: persistent pool regressed single-query latency: \
-             {:.3}ms shared vs {:.3}ms scoped",
-            r.engine,
-            r.shared_single_ns as f64 / 1e6,
-            r.scoped_single_ns as f64 / 1e6
-        );
-        // ...and a catastrophic-only guard against the recorded
-        // `BENCH_join_group.json` trajectory: the whole SC query (scan +
-        // group + sort) at `n_rows` must stay within a generous band of
-        // the recorded 150k-row flat group-phase time, scaled by rows.
         if let Some(flat_ns) = join_group_flat_ns(r.engine, "sc_join_group") {
             let scaled = flat_ns as f64 * (n_rows as f64 / 150_000.0);
             let limit = (25.0 * scaled).max(20e6);
@@ -727,7 +641,7 @@ fn main() {
         }
     }
 
-    // Machine-readable perf trajectory at the workspace root.
+    // Machine-readable perf trajectory.
     let mut json = String::from("{\n  \"bench\": \"concurrent_queries\",\n");
     let _ = writeln!(json, "  \"rows\": {n_rows},");
     let _ = writeln!(json, "  \"in_flight\": {IN_FLIGHT},");
@@ -737,21 +651,15 @@ fn main() {
     for (i, r) in results.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"engine\": \"{}\", \"scoped_qps\": {:.1}, \"shared_qps\": {:.1}, \
-             \"speedup\": {:.3}, \"scoped_single_ns\": {}, \"shared_single_ns\": {}}}{}",
+            "    {{\"engine\": \"{}\", \"shared_qps\": {:.1}, \"shared_single_ns\": {}}}{}",
             r.engine,
-            r.scoped_qps,
             r.shared_qps,
-            r.speedup(),
-            r.scoped_single_ns,
             r.shared_single_ns,
             if i + 1 < results.len() { "," } else { "" }
         );
     }
     json.push_str("  ]\n}\n");
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../BENCH_concurrent_queries.json");
-    std::fs::write(&out, json).expect("write BENCH_concurrent_queries.json");
+    let out = write_bench_json("concurrent_queries", smoke, &json);
     println!("  wrote {}", out.display());
 
     // Post-storm metrics snapshot: queue-wait and exec-time percentiles
@@ -838,9 +746,7 @@ fn main() {
         );
     }
     json.push_str("  ]\n}\n");
-    let out =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serving_storm.json");
-    std::fs::write(&out, json).expect("write BENCH_serving_storm.json");
+    let out = write_bench_json("serving_storm", smoke, &json);
     println!("  wrote {}", out.display());
     blend_obs::dump_if_enabled();
 }

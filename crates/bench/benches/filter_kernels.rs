@@ -9,15 +9,16 @@
 //! `BENCH_filter_kernels.json` at the workspace root so the perf
 //! trajectory is machine-readable across PRs.
 //!
-//! `--test` runs the CI smoke mode: same parity checks and JSON emission,
-//! minimal timing (so kernel code cannot bit-rot without CI noticing).
+//! `--test` runs the CI smoke mode: same parity checks and JSON emission
+//! (under `target/`, never over the committed file), minimal timing (so
+//! kernel code cannot bit-rot without CI noticing).
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use criterion::Criterion;
 
-use blend_bench::synthetic_rows;
+use blend_bench::{synthetic_rows, write_bench_json};
 use blend_sql::plan::{fast_filters_pass, FastFilters};
 use blend_sql::SqlEngine;
 use blend_storage::{build_engine, EngineKind, FactTable};
@@ -279,9 +280,7 @@ fn main() {
         );
     }
     json.push_str("  ]\n}\n");
-    let out =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_filter_kernels.json");
-    std::fs::write(&out, json).expect("write BENCH_filter_kernels.json");
+    let out = write_bench_json("filter_kernels", smoke, &json);
     println!("  wrote {}", out.display());
     blend_obs::dump_if_enabled();
 }

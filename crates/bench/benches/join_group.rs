@@ -32,15 +32,15 @@
 //! acceptance bar held here: flat is ≥1.5× the map baseline on the SC
 //! join+group shape, column store.
 //!
-//! `--test` runs the CI smoke mode: same parity checks and JSON emission,
-//! minimal timing.
+//! `--test` runs the CI smoke mode: same parity checks and JSON emission
+//! (under `target/`, never over the committed file), minimal timing.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use criterion::Criterion;
 
-use blend_bench::synthetic_rows;
+use blend_bench::{synthetic_rows, write_bench_json};
 use blend_common::{FxHashMap, FxHashSet};
 use blend_parallel::radix_partition;
 use blend_sql::hashtable::{GroupIndex, JoinTable};
@@ -565,8 +565,7 @@ fn main() {
         );
     }
     json.push_str("  ]\n}\n");
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_join_group.json");
-    std::fs::write(&out, json).expect("write BENCH_join_group.json");
+    let out = write_bench_json("join_group", smoke, &json);
     println!("  wrote {}", out.display());
     blend_obs::dump_if_enabled();
 }

@@ -1,6 +1,30 @@
-//! Shared experiment plumbing: scaling, timing, and text-table rendering.
+//! Shared experiment plumbing: scaling, timing, text-table rendering, and
+//! bench-result output.
 
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
+
+/// Write a bench's machine-readable result as `BENCH_<bench>.json`. A full
+/// run writes it at the workspace root, where the committed results live;
+/// a `--test` smoke run (`smoke == true`) writes it under `target/`, so a
+/// smoke run never overwrites a committed full-mode result. Returns the
+/// path written.
+pub fn write_bench_json(bench: &str, smoke: bool, json: &str) -> PathBuf {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("bench crate lives two levels below the workspace root");
+    let dir = if smoke {
+        root.join("target")
+    } else {
+        root.to_path_buf()
+    };
+    let out = dir.join(format!("BENCH_{bench}.json"));
+    std::fs::create_dir_all(&dir)
+        .and_then(|()| std::fs::write(&out, json))
+        .unwrap_or_else(|e| panic!("write {}: {e}", out.display()));
+    out
+}
 
 /// Experiment scale factor from `BLEND_SCALE` (default `default`).
 ///

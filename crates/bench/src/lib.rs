@@ -27,4 +27,4 @@ pub mod experiments {
 }
 
 pub use data::synthetic_rows;
-pub use harness::{obs_overhead_ns, scale_from_env, simd_ab_ns, Timer};
+pub use harness::{obs_overhead_ns, scale_from_env, simd_ab_ns, write_bench_json, Timer};

@@ -8,8 +8,8 @@
 //! deadline — rides on the `ParallelCtx` handed down to the executor, and
 //! well-known sites poll it:
 //!
-//! * `Admission::acquire_within` re-checks before and during every blocked
-//!   wait, so a queued request can never sleep past its deadline.
+//! * The serving tier checks when it dequeues a request, so a request that
+//!   expired or was cancelled while queued never executes.
 //! * The positional executor calls [`Interrupt::check`] at every phase
 //!   boundary (scan → join build → probe → group → global agg) and inside
 //!   every morsel / partition / probe-chunk loop, both on the sequential

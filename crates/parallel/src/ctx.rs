@@ -78,26 +78,9 @@ impl ParallelCtx {
         morsel_len: usize,
         budget: usize,
     ) -> Self {
-        Self::with_pool(
-            WorkerPool::new(threads),
-            min_parallel,
-            morsel_len,
-            Admission::new(budget),
-        )
-    }
-
-    /// Context over an explicit pool handle and admission controller — the
-    /// building block the other constructors (and the scoped-baseline
-    /// benchmark) assemble.
-    pub fn with_pool(
-        pool: WorkerPool,
-        min_parallel: usize,
-        morsel_len: usize,
-        admission: Arc<Admission>,
-    ) -> Self {
         ParallelCtx {
-            pool,
-            admission,
+            pool: WorkerPool::new(threads),
+            admission: Admission::new(budget),
             min_parallel: min_parallel.max(1),
             morsel_len: morsel_len.max(1),
             interrupt: Interrupt::never(),

@@ -14,22 +14,20 @@
 //! ## The persistent pool
 //!
 //! Workers are long-lived OS threads parked on a shared injector queue
-//! ([`WorkerPool`]); spawn-per-run is gone. Each [`run`](WorkerPool::run)
-//! submits one batch, idle workers claim helper slots on it, and the
-//! calling thread always serves its own batch too — so a run can never
-//! deadlock on a busy pool, it just degrades toward running inline. Tasks
-//! may still borrow the caller's stack exactly as under the old scoped
-//! design: the batch is bridged to the workers through a scoped handoff
+//! ([`WorkerPool`]). Each [`run`](WorkerPool::run) submits one batch,
+//! idle workers claim helper slots on it, and the calling thread always
+//! serves its own batch too — so a run can never deadlock on a busy pool,
+//! it just degrades toward running inline. Tasks may borrow the caller's
+//! stack: the batch is bridged to the workers through a scoped handoff
 //! (`run` returns only after every participating worker has left the
-//! batch), so `run`/`run_with`/`map` keep their signatures and callers
-//! compiled unchanged. A panicking task poisons only its own `run` call —
-//! the panic propagates to that caller after the batch drains, and the
-//! workers survive to serve the next batch.
+//! batch). A panicking task poisons only its own `run` call — the panic
+//! propagates to that caller after the batch drains, and the workers
+//! survive to serve the next batch.
 //!
 //! Handles are cheap views: [`WorkerPool::shared`] points every engine in
-//! the process at one global core, [`WorkerPool::with_width`] narrows a
-//! handle to an admitted width, and [`WorkerPool::scoped`] retains the old
-//! spawn-per-run design as the measured baseline.
+//! the process at one global core, [`WorkerPool::new`] builds a dedicated
+//! core (tests and benches), and [`WorkerPool::with_width`] narrows a
+//! handle to an admitted width.
 //!
 //! ## Admission control
 //!
@@ -44,23 +42,25 @@
 //! bounded by callers + budget at every instant. Grants are surfaced per
 //! phase in `QueryReport::parallel` telemetry.
 //!
+//! Per-phase [`Admission::try_acquire`] is the only admission path: it
+//! never blocks. The serving tier bounds concurrent requests with its own
+//! fixed set of serving threads and takes no tokens itself, so a served
+//! request's phases can use the whole budget when nothing else runs.
+//!
 //! ## Cancellation & deadlines
 //!
 //! Serving real users means queries must be *stoppable*. Every request can
 //! carry an [`Interrupt`] — a [`CancellationToken`] plus a [`Deadline`] —
 //! scoped onto the shared context via
 //! [`ParallelCtx::with_interrupt`]. The protocol is cooperative and has
-//! three kinds of check sites:
+//! two kinds of check sites (admission never blocks, so there is no wait
+//! to interrupt):
 //!
-//! 1. **Blocking waits** — [`Admission::acquire_within`] re-polls the
-//!    interrupt while blocked on the token condvar, so a queued request
-//!    returns a typed `Err(Timeout)`/`Err(Cancelled)` instead of sleeping
-//!    past its budget.
-//! 2. **Phase boundaries** — the SQL executors call
+//! 1. **Phase boundaries** — the SQL executors call
 //!    [`ParallelCtx::check_interrupt`] before scan, join build, join
 //!    probe, group, and global-agg phases, and the plan executor checks
 //!    between seekers.
-//! 3. **Inner loops** — sequential scan/probe/group loops check every few
+//! 2. **Inner loops** — sequential scan/probe/group loops check every few
 //!    thousand rows; pool-run closures poll [`Interrupt::is_set`] per
 //!    morsel / partition / chunk and bail early with a truncated partial.
 //!
@@ -118,8 +118,8 @@
 //!
 //! ## Components
 //!
-//! * [`WorkerPool`] — persistent shared worker pool (dedicated, global, or
-//!   scoped-baseline backing) running `n` indexed tasks with dynamic
+//! * [`WorkerPool`] — persistent shared worker pool (dedicated or
+//!   process-global core) running `n` indexed tasks with dynamic
 //!   claiming; returns results in task order plus per-worker busy times.
 //! * [`Admission`] / [`AdmissionGrant`] — the machine-wide token budget and
 //!   its RAII grant.

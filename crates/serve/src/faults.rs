@@ -19,8 +19,8 @@
 //! * `coalesce` — fired before the in-flight group attach/lead decision.
 //!   Poisoning here targets group *leaders*: the leader crashes
 //!   mid-execution and its waiters must be promoted or resolve typed.
-//! * `exec` — fired after the admission slot is acquired, immediately
-//!   before execution. `poison` here panics *inside* the serving thread's
+//! * `exec` — fired after the queued-state check, immediately before
+//!   execution. `poison` here panics *inside* the serving thread's
 //!   `catch_unwind`, modelling a request that crashes mid-flight.
 //!
 //! Actions are [`FaultAction::Delay`] (sleep), [`FaultAction::Cancel`]
@@ -56,7 +56,7 @@ pub const SITE_DEQUEUE: &str = "dequeue";
 pub const SITE_CACHE: &str = "cache";
 /// Fault site: about to attach to (or lead) an in-flight group.
 pub const SITE_COALESCE: &str = "coalesce";
-/// Fault site: admission slot held, about to execute the request.
+/// Fault site: past the queued-state check, about to execute the request.
 pub const SITE_EXEC: &str = "exec";
 /// Fault site: a memory-governor charge. Unlike the other sites this one
 /// is not visited by the serving loop — the [`crate::ServeQueue`] arms the

@@ -24,18 +24,16 @@
 //!    `Err(Timeout)`/`Err(Cancelled)` without executing. Otherwise the
 //!    thread probes the **result cache** and the **in-flight group map**
 //!    (see *Coalescing and the result cache* below); a request resolved
-//!    there never reaches admission.
-//! 3. **Admission** — the thread acquires **one** admission token as the
-//!    request's execution slot via
-//!    [`Admission::acquire_within`](blend_parallel::Admission::acquire_within),
-//!    blocking *under the request's interrupt*: the wait re-polls
-//!    cancellation and gives up at the deadline, so a request never sleeps
-//!    past its budget waiting for capacity.
-//! 4. **Execute** — the engine runs the SQL with the request's interrupt
+//!    there never executes.
+//! 3. **Execute** — the engine runs the SQL with the request's interrupt
 //!    scoped onto the shared [`ParallelCtx`](blend_parallel::ParallelCtx)
 //!    (`SqlEngine::execute_interruptible`). Executors check at phase
-//!    boundaries and inside morsel/partition loops; see below.
-//! 5. **Resolve** — [`Ticket::wait`] returns the result. Every accepted
+//!    boundaries and inside morsel/partition loops; see below. The
+//!    request holds no admission token: the `workers` serving threads
+//!    already bound how many requests execute at once, and each phase asks
+//!    [`ParallelCtx::admit`](blend_parallel::ParallelCtx::admit) for
+//!    workers without blocking, like any other query.
+//! 4. **Resolve** — [`Ticket::wait`] returns the result. Every accepted
 //!    request resolves exactly once: `Ok(result)` or one typed
 //!    `BlendError::{Timeout, Cancelled, Overloaded, ...}`. Requests still
 //!    queued at shutdown resolve `Err(Cancelled)`.
@@ -85,8 +83,7 @@
 //! **In-flight coalescing**: when a request's fingerprint matches an
 //! execution that is *currently running* on another serving thread, it
 //! attaches to that group as a waiter instead of executing — N
-//! fingerprint-equal requests cost **one** admission grant and one
-//! execution. The protocol:
+//! fingerprint-equal requests cost **one** execution. The protocol:
 //!
 //! 1. The first request to find no group entry becomes the **leader**,
 //!    registers the group, and executes normally under its own interrupt.
@@ -115,8 +112,8 @@
 //! Cancellation is **cooperative**; nothing is killed. The serving tier
 //! creates one [`Interrupt`] per request; every layer below polls it:
 //!
-//! * **Serving thread** — checks on dequeue (step 2) and blocks
-//!   interruptibly in admission (step 3).
+//! * **Serving thread** — checks on dequeue (step 2) and again right
+//!   before execution (step 3).
 //! * **Plan executor** (`blend` core) — checks at every seeker boundary.
 //! * **SQL executors** (`blend_sql`) — check before each phase (scan, join
 //!   build/probe, group, global agg) and every few thousand rows inside

@@ -39,7 +39,7 @@ struct ServeMetrics {
     queue_depth: Arc<blend_obs::Gauge>,
     /// Time from accept to dequeue, for requests that reached a server.
     queue_wait: Arc<blend_obs::Histogram>,
-    /// Execution time (admission wait included) of dequeued requests.
+    /// Execution time of dequeued requests.
     exec_time: Arc<blend_obs::Histogram>,
 }
 
@@ -195,9 +195,9 @@ pub struct Ticket {
 
 impl Ticket {
     /// Cooperatively cancel the request. The next check site (queued-state
-    /// check, admission wait, phase boundary, or inner loop) observes the
-    /// token and the ticket resolves `Err(Cancelled)` — unless the request
-    /// already completed. Cancelling a coalesced-group *leader* does not
+    /// check, phase boundary, or inner loop) observes the token and the
+    /// ticket resolves `Err(Cancelled)` — unless the request already
+    /// completed. Cancelling a coalesced-group *leader* does not
     /// strand its waiters: a live waiter is promoted to re-execute.
     pub fn cancel(&self) {
         self.req.interrupt.token().cancel();
@@ -259,13 +259,12 @@ impl Core {
 /// `submit` never blocks: it sheds with `Err(Overloaded)` when the bound is
 /// hit. Serving threads pop requests, drop ones whose deadline expired
 /// while queued, probe the memoized result cache, attach fingerprint-equal
-/// requests to an already-running execution, and otherwise acquire one
-/// admission token as their execution slot (blocking *under the request's
-/// deadline* via [`blend_parallel::Admission::acquire_within`]) and execute
-/// with the request's [`Interrupt`] scoped onto the shared
-/// [`blend_parallel::ParallelCtx`]. Dropping the queue shuts it down:
-/// serving threads drain, and never-served requests resolve
-/// `Err(Cancelled)`.
+/// requests to an already-running execution, and otherwise execute with the
+/// request's [`Interrupt`] scoped onto the shared
+/// [`blend_parallel::ParallelCtx`]. At most `workers` requests execute at
+/// once; each one's phases take admission grants like any other query.
+/// Dropping the queue shuts it down: serving threads drain, and
+/// never-served requests resolve `Err(Cancelled)`.
 pub struct ServeQueue {
     core: Arc<Core>,
     handles: Vec<JoinHandle<()>>,
@@ -754,15 +753,10 @@ fn finish_err(core: &Core, req: &Request, e: BlendError, _exec: Duration) {
 /// otherwise panicking) execution is caught and surfaced as `Err(SqlExec)`.
 fn serve_one(core: &Core, req: &Request, poisoned: &mut bool) -> Result<(ResultSet, QueryReport)> {
     // A request that expired or was cancelled while queued never executes.
+    // The serving threads themselves bound how many requests run at once;
+    // the request holds no admission token, so its phases draw on the
+    // whole budget through `ParallelCtx::admit`.
     req.interrupt.check()?;
-
-    // The execution slot: one admission token held for the whole request,
-    // acquired under the request's own deadline. Under overload this is
-    // where queued requests time out instead of piling onto the pool.
-    // Cache hits and coalesced waiters never reach this point — a group of
-    // N fingerprint-equal requests costs one admission grant.
-    let admission = core.engine.parallel_ctx().admission().clone();
-    let _slot = admission.acquire_within(1, &req.interrupt)?;
 
     *poisoned |= apply_faults(core, SITE_EXEC, req);
     let poison = *poisoned;
@@ -837,6 +831,45 @@ mod tests {
 
     const SQL: &str = "SELECT TableId, RowId, CellValue FROM AllTables \
                        ORDER BY TableId, RowId, CellValue LIMIT 5";
+
+    /// A served request holds no admission token of its own: on a
+    /// one-token budget behind one serving thread, the request's phases
+    /// still get that token and fan out to two workers.
+    #[test]
+    fn served_request_phases_use_the_whole_admission_budget() {
+        let mut rows = Vec::new();
+        for t in 0..4u32 {
+            for r in 0..64u32 {
+                let sk = ((t as u128) << 64) | r as u128;
+                rows.push(FactRow::new(&format!("w{}", r % 7), t, 0, r, sk, None));
+            }
+        }
+        let ctx = ParallelCtx::with_admission(2, 1, 32, 1);
+        let engine = Arc::new(
+            SqlEngine::with_alltables(build_engine(EngineKind::Column, rows))
+                .with_parallel(Arc::new(ctx)),
+        );
+        let queue = ServeQueue::new(
+            engine.clone(),
+            ServeConfig {
+                workers: 1,
+                result_cache_bytes: 0,
+                coalesce: false,
+                ..ServeConfig::default()
+            },
+        );
+        let sql = "SELECT TableId, COUNT(DISTINCT CellValue) AS n FROM AllTables \
+                   WHERE CellValue IN ('w0','w1','w2') GROUP BY TableId \
+                   ORDER BY n DESC, TableId LIMIT 10";
+        let (_, report) = queue.submit(sql, Deadline::none()).unwrap().wait().unwrap();
+        assert!(
+            report.parallel.iter().any(|p| p.granted == 2),
+            "no phase of the served request got the free token: {:?}",
+            report.parallel
+        );
+        drop(queue);
+        assert_eq!(engine.parallel_ctx().admission().available(), 1);
+    }
 
     #[test]
     fn serves_and_records_telemetry() {

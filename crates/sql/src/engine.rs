@@ -114,7 +114,9 @@ pub struct SqlEngine {
     /// process shares **one** persistent pool and admission budget, so
     /// concurrent queries — across engines and, through
     /// [`Blend`](https://docs.rs/blend), across every seeker of a plan —
-    /// draw from a single machine-wide thread allotment.
+    /// draw from a single machine-wide thread allotment. Only query phases
+    /// hold admission tokens (per phase, via [`ParallelCtx::admit`]); a
+    /// request served through the serving tier holds none of its own.
     parallel: Arc<ParallelCtx>,
 }
 

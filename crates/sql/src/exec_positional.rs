@@ -102,9 +102,11 @@
 //!
 //! With `threads == 1` (`BLEND_THREADS=1`), inputs under the morsel
 //! threshold, or the machine-wide admission budget exhausted by other
-//! in-flight queries (`BLEND_MAX_CONCURRENT_GRANTS`), every phase takes
-//! its plain sequential loop on the query's own thread — concurrent load
-//! degrades worker counts gracefully instead of oversubscribing, and
+//! in-flight phases (`BLEND_MAX_CONCURRENT_GRANTS`), every phase takes its
+//! plain sequential loop on the query's own thread. Phase grants are the
+//! only holders of admission tokens — a served request takes none for
+//! itself, so a lone request's phases can use the whole budget. Concurrent
+//! load degrades worker counts gracefully instead of oversubscribing, and
 //! partitioning follows the *granted* width, which the order-preserving
 //! merges make invisible in the output. Pool-backed phases record
 //! partition counts, granted workers, and per-worker timings in

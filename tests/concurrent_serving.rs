@@ -11,10 +11,9 @@
 //!    offered load (phases silently degrade to fewer workers or the
 //!    sequential fallback; the order-preserving merges make that invisible
 //!    in the output).
-//! 2. **Liveness and accounting** — random grant/release sequences never
-//!    exceed the token budget and always drain (no lost wakeups, no
-//!    deadlock), every recorded phase stays within its grant, and the
-//!    budget is fully returned once the storm ends.
+//! 2. **Accounting** — random grant/release sequences never exceed the
+//!    token budget and always drain, every recorded phase stays within its
+//!    grant, and the budget is fully returned once the storm ends.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -333,9 +332,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random admission grant/release storms: the number of concurrently
-    /// held tokens never exceeds the budget, blocking acquires are always
-    /// eventually satisfied (no lost wakeups / deadlock — enforced with a
-    /// watchdog timeout), and the budget drains back to full.
+    /// held tokens never exceeds the budget, no thread ever hangs on a
+    /// grant (enforced with a watchdog timeout), and the budget drains back
+    /// to full.
     #[test]
     fn admission_grants_never_exceed_budget_and_always_drain(
         budget in 1usize..5,
@@ -364,11 +363,7 @@ proptest! {
                     };
                     for _ in 0..ops {
                         let desired = (next() as usize % (budget + 2)) + 1;
-                        let grant = if next() % 2 == 0 {
-                            admission.acquire(desired)
-                        } else {
-                            admission.try_acquire(desired)
-                        };
+                        let grant = admission.try_acquire(desired);
                         let now = outstanding.fetch_add(grant.tokens(), Ordering::SeqCst)
                             + grant.tokens();
                         max_seen.fetch_max(now, Ordering::SeqCst);
@@ -384,76 +379,15 @@ proptest! {
             let _ = tx.send((max_seen.load(Ordering::SeqCst), admission.available()));
         });
 
-        // The watchdog: a lost wakeup or deadlock shows up as a timeout
-        // here, not as a hung test suite.
+        // The watchdog: a hang (e.g. a poisoned or deadlocked token lock)
+        // shows up as a timeout here, not as a hung test suite.
         let (max_seen, available) = rx
             .recv_timeout(Duration::from_secs(30))
-            .expect("admission storm deadlocked (lost wakeup?)");
+            .expect("admission storm hung");
         prop_assert!(
             max_seen <= budget,
             "held {max_seen} tokens concurrently on a budget of {budget}"
         );
         prop_assert_eq!(available, budget, "tokens leaked after drain");
-    }
-
-    /// Deadline-aware acquire against an exhausted budget: with every token
-    /// held and the deadline already expired, `acquire_within` must return
-    /// `Err(Timeout)` — never block forever (watchdog) and never leak a
-    /// token, even when a release races the expiry.
-    #[test]
-    fn expired_deadline_acquire_always_times_out_and_never_leaks(
-        budget in 1usize..5,
-        desired in 1usize..8,
-        racing_release in any::<bool>(),
-        expiry_micros in 0u64..500,
-    ) {
-        use blend_parallel::{CancellationToken, Deadline, Interrupt};
-
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            let admission = Admission::new(budget);
-            let held = admission.try_acquire(budget);
-            assert_eq!(held.tokens(), budget, "failed to exhaust the budget");
-
-            // A release racing the expired-deadline acquire must not let a
-            // grant slip out after the deadline check.
-            let releaser = racing_release.then(|| {
-                let admission = admission.clone();
-                std::thread::spawn(move || {
-                    let refill = admission.try_acquire(0); // no-op grant
-                    drop(refill);
-                    std::thread::yield_now();
-                })
-            });
-
-            let interrupt = Interrupt::new(
-                CancellationToken::new(),
-                Deadline::after(Duration::from_micros(expiry_micros)),
-            );
-            // Let sub-millisecond deadlines actually expire.
-            std::thread::sleep(Duration::from_micros(expiry_micros + 1));
-            let result = admission.acquire_within(desired, &interrupt);
-
-            if let Some(r) = releaser {
-                r.join().expect("racing releaser panicked");
-            }
-            let timed_out = matches!(result, Err(blend_common::BlendError::Timeout(_)));
-            drop(result);
-            drop(held);
-            let _ = tx.send((timed_out, admission.available()));
-        });
-
-        let (timed_out, available) = rx
-            .recv_timeout(Duration::from_secs(30))
-            .expect("expired-deadline acquire hung (deadline ignored?)");
-        prop_assert!(
-            timed_out,
-            "acquire_within on a full budget with an expired deadline must \
-             return Err(Timeout)"
-        );
-        prop_assert_eq!(
-            available, budget,
-            "expired-deadline acquire leaked a grant"
-        );
     }
 }

@@ -260,6 +260,10 @@ fn storm_under_memory_budget_resolves_typed_with_conservation() {
                 "accounted bytes exceeded the budget mid-storm"
             );
         }
+        // Release this thread's queue handle before reporting, so the
+        // main thread's `drop(queue)` below is the last one: it joins the
+        // serving threads and purges the cache pool before the drain check.
+        drop(storm_queue);
         let _ = tx.send((ok, shed, mem_exceeded));
     });
 
@@ -326,11 +330,19 @@ fn alloc_fault_storm_sheds_typed_and_recovers() {
     // BLEND_FAULTS=alloc:fail@7.
     let faults = FaultPlan::parse("alloc:fail@7").unwrap();
     assert_eq!(faults.alloc_fail_every(), Some(7));
+    // One serving thread makes the governor's charge sequence a fixed
+    // function of the query mix: requests execute one at a time in FIFO
+    // order, each phase gets the whole admission budget, and whether a
+    // request hits the cache depends only on the requests before it. The
+    // 7th charge is then a scan-output reservation, which has no ladder,
+    // so a request sheds. Under two serving threads the interleaving
+    // picks which charges draw the faults, and it can put every one on a
+    // cache fill, which is skipped rather than shed.
     let queue = Arc::new(ServeQueue::new(
         engine,
         ServeConfig {
             depth: DEPTH,
-            workers: 2,
+            workers: 1,
             result_cache_bytes: 1 << 20,
             coalesce: false,
             faults,
@@ -369,6 +381,10 @@ fn alloc_fault_storm_sheds_typed_and_recovers() {
                 }
             }
         }
+        // Release this thread's queue handle before reporting, so the
+        // main thread's `drop(queue)` below is the last one: it joins the
+        // serving threads and purges the cache pool before the drain check.
+        drop(storm_queue);
         let _ = tx.send((ok, shed, mem_exceeded));
     });
 

@@ -99,6 +99,9 @@ fn post_storm_snapshot_exposes_families_and_counter_identity() {
                 resolved += 1;
             }
         }
+        // Release this thread's queue handle first, so the main thread's
+        // `drop(queue)` below is the last one and joins the serving threads.
+        drop(storm_queue);
         let _ = tx.send(resolved);
     });
     let resolved = rx.recv_timeout(WATCHDOG).expect("metrics storm deadlocked");

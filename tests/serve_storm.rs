@@ -28,9 +28,9 @@ use blend_storage::{build_engine, EngineKind, FactRow};
 /// here instead of a hung suite.
 const WATCHDOG: Duration = Duration::from_secs(30);
 
-/// Tolerance on deadline overshoot: covers the 10 ms admission poll
-/// cadence, injected 5 ms delays, morsel granularity, and CI scheduling
-/// noise with a wide margin.
+/// Tolerance on deadline overshoot: covers injected 5 ms delays, the
+/// interrupt-check cadence (phase boundaries, every few thousand rows,
+/// per morsel), and CI scheduling noise with a wide margin.
 const OVERSHOOT_TOLERANCE: Duration = Duration::from_secs(5);
 
 fn fact_rows(n_tables: u32, rows_per: u32, vocab: u32, seed: u64) -> Vec<FactRow> {
@@ -111,7 +111,7 @@ fn storm_once(context: &str, faults: FaultPlan, tiny_deadlines: bool) {
     ));
 
     // Run the whole storm behind a watchdog channel; a deadlock anywhere
-    // (queue, admission, pool, ticket wait) trips the timeout below.
+    // (queue, pool, ticket wait) trips the timeout below.
     let (tx, rx) = mpsc::channel();
     let storm_queue = queue.clone();
     let storm_queries = queries.clone();
@@ -235,8 +235,8 @@ fn storm_without_faults_completes_with_parity() {
 }
 
 /// Deadline storm: a third of the load carries a 2 ms budget through an
-/// undersized queue, so requests expire queued, in admission, and
-/// mid-execution — all must resolve as typed `Timeout` with no partial
+/// undersized queue, so requests expire queued, right before execution,
+/// and mid-execution — all must resolve as typed `Timeout` with no partial
 /// results and bounded overshoot.
 #[test]
 fn storm_with_tiny_deadlines_times_out_cleanly() {
